@@ -1001,89 +1001,76 @@ impl NodeActor {
 
 impl Actor for NodeActor {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-        // Network deliveries: unwrap the payload and re-dispatch.
-        let ev = match ev.downcast::<WifiRx>() {
-            Ok(rx) => {
-                let p = rx.payload.clone();
-                if let Some(msg) = simnet::payload_as::<ItemMsg>(&p) {
-                    self.handle_item(msg.clone(), ctx);
-                    return;
-                }
-                if let Some(ins) = simnet::payload_as::<Install>(&p) {
-                    self.apply_install(ins.clone(), ctx);
-                    return;
-                }
-                EventBox::new(rx)
+        // Network deliveries: inspect the payload in place and
+        // re-dispatch; anything else falls through, still boxed, to the
+        // match below and the scheme.
+        if let Some(rx) = ev.downcast_ref::<WifiRx>() {
+            let p = &rx.payload;
+            if let Some(msg) = simnet::payload_as::<ItemMsg>(p) {
+                self.handle_item(msg.clone(), ctx);
+                return;
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<CellRx>() {
-            Ok(rx) => {
-                let p = rx.payload.clone();
-                if let Some(msg) = simnet::payload_as::<ItemMsg>(&p) {
-                    self.handle_item(msg.clone(), ctx);
-                    return;
-                }
-                if let Some(msg) = simnet::payload_as::<InterRegionMsg>(&p) {
-                    let m = msg.clone();
-                    self.handle_source_input_at(m.dst_op, m.value, m.bytes, m.entered, ctx);
-                    return;
-                }
-                if let Some(ping) = simnet::payload_as::<Ping>(&p) {
-                    if self.inner.alive {
-                        let pong = Pong {
-                            nonce: ping.nonce,
-                            region: self.inner.cfg.region,
-                            slot: self.inner.cfg.slot,
-                        };
-                        self.inner.send_controller(ctx, 32, pong);
-                    }
-                    return;
-                }
-                if let Some(ins) = simnet::payload_as::<Install>(&p) {
-                    self.apply_install(ins.clone(), ctx);
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<UpdateRouting>(&p) {
-                    if let Some(os) = &u.op_slot {
-                        self.inner.op_slot = os.clone();
-                        self.inner.unhost_stale();
-                    }
-                    if let Some(sa) = &u.slot_actors {
-                        self.inner.slot_actors = sa.clone();
-                    }
-                    self.pump(ctx);
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<SetUrgentEdges>(&p) {
-                    for e in &u.edges {
-                        if u.on {
-                            self.inner.urgent_edges.insert(*e);
-                        } else {
-                            self.inner.urgent_edges.remove(e);
-                        }
-                    }
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<UpdateInterRegion>(&p) {
-                    self.inner.inter_region = u.links.clone();
-                    return;
-                }
-                EventBox::new(rx)
+            if let Some(ins) = simnet::payload_as::<Install>(p) {
+                self.apply_install(ins.clone(), ctx);
+                return;
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<EthRx>() {
-            Ok(rx) => {
-                let p = rx.payload.clone();
-                if let Some(msg) = simnet::payload_as::<ItemMsg>(&p) {
-                    self.handle_item(msg.clone(), ctx);
-                    return;
-                }
-                EventBox::new(rx)
+        } else if let Some(rx) = ev.downcast_ref::<CellRx>() {
+            let p = &rx.payload;
+            if let Some(msg) = simnet::payload_as::<ItemMsg>(p) {
+                self.handle_item(msg.clone(), ctx);
+                return;
             }
-            Err(e) => e,
-        };
+            if let Some(msg) = simnet::payload_as::<InterRegionMsg>(p) {
+                let m = msg.clone();
+                self.handle_source_input_at(m.dst_op, m.value, m.bytes, m.entered, ctx);
+                return;
+            }
+            if let Some(ping) = simnet::payload_as::<Ping>(p) {
+                if self.inner.alive {
+                    let pong = Pong {
+                        nonce: ping.nonce,
+                        region: self.inner.cfg.region,
+                        slot: self.inner.cfg.slot,
+                    };
+                    self.inner.send_controller(ctx, 32, pong);
+                }
+                return;
+            }
+            if let Some(ins) = simnet::payload_as::<Install>(p) {
+                self.apply_install(ins.clone(), ctx);
+                return;
+            }
+            if let Some(u) = simnet::payload_as::<UpdateRouting>(p) {
+                if let Some(os) = &u.op_slot {
+                    self.inner.op_slot = os.clone();
+                    self.inner.unhost_stale();
+                }
+                if let Some(sa) = &u.slot_actors {
+                    self.inner.slot_actors = sa.clone();
+                }
+                self.pump(ctx);
+                return;
+            }
+            if let Some(u) = simnet::payload_as::<SetUrgentEdges>(p) {
+                for e in &u.edges {
+                    if u.on {
+                        self.inner.urgent_edges.insert(*e);
+                    } else {
+                        self.inner.urgent_edges.remove(e);
+                    }
+                }
+                return;
+            }
+            if let Some(u) = simnet::payload_as::<UpdateInterRegion>(p) {
+                self.inner.inter_region = u.links.clone();
+                return;
+            }
+        } else if let Some(rx) = ev.downcast_ref::<EthRx>() {
+            if let Some(msg) = simnet::payload_as::<ItemMsg>(&rx.payload) {
+                self.handle_item(msg.clone(), ctx);
+                return;
+            }
+        }
 
         simkernel::match_event!(ev,
             _p: ProcDone => {

@@ -84,6 +84,16 @@ pub enum BroadcastError {
         /// Total the receiver's cumulative bitmap was sized for.
         expected: u32,
     },
+    /// A batch's reception bitmap does not have one bit per listed
+    /// block.
+    ReceptionLengthMismatch {
+        /// Job id.
+        stream: u64,
+        /// Blocks the batch listed.
+        blocks: usize,
+        /// Bits in its reception bitmap.
+        received: usize,
+    },
 }
 
 impl std::fmt::Display for BroadcastError {
@@ -104,6 +114,14 @@ impl std::fmt::Display for BroadcastError {
             } => write!(
                 f,
                 "broadcast stream {stream}: batch declares {declared} total blocks, job was sized at {expected}"
+            ),
+            BroadcastError::ReceptionLengthMismatch {
+                stream,
+                blocks,
+                received,
+            } => write!(
+                f,
+                "broadcast stream {stream}: batch lists {blocks} blocks but reports reception of {received}"
             ),
         }
     }
@@ -243,7 +261,7 @@ impl SenderJob {
     /// Wire size of one receiver bitmap (ceil(n/8), as in the paper:
     /// 8192 blocks → 1 KB bitmap).
     pub fn bitmap_wire_bytes(&self) -> u64 {
-        Bitmap::zeros(self.n_blocks as usize).wire_bytes()
+        (self.n_blocks as u64).div_ceil(8)
     }
 
     /// Blocks to broadcast in the first phase (all of them). Records
@@ -265,15 +283,20 @@ impl SenderJob {
         self.awaiting = self.per_rx.keys().copied().collect();
     }
 
-    /// Total bytes received across receivers so far.
+    /// Total bytes received across receivers so far: a popcount of
+    /// full blocks, less the short tail block's shortfall where held.
     fn received_bytes(&self) -> u64 {
+        let last = self.n_blocks as usize - 1;
+        let shortfall = self.block_bytes - self.tail_bytes;
         self.per_rx
             .values()
             .map(|bm| {
-                (0..self.n_blocks)
-                    .filter(|&b| bm.get(b as usize))
-                    .map(|b| self.block_size(b))
-                    .sum::<u64>()
+                let full = bm.count_ones() as u64 * self.block_bytes;
+                if bm.get(last) {
+                    full - shortfall
+                } else {
+                    full
+                }
             })
             .sum()
     }
@@ -433,13 +456,18 @@ impl ReceiverState {
     /// Fold one batch's reception report in; returns the cumulative
     /// bitmap to send back to the sender.
     ///
-    /// A block id beyond the job's size, or a `total_blocks` that
-    /// disagrees with the first batch of the stream, is a protocol
-    /// error: silently skipping such blocks (as an earlier version did)
-    /// would let the sender believe a checkpoint block was replicated
-    /// when it never landed anywhere. The batch is rejected whole —
-    /// the cumulative state is left untouched, so a retransmission of
-    /// a well-formed batch still works.
+    /// Bit `i` of `received` says whether block `blocks[i]` arrived.
+    /// Each maximal run of consecutive block ids is OR-ed in 64 bits
+    /// at a time; a phase-1 chunk is a single run.
+    ///
+    /// A block id beyond the job's size, a `total_blocks` that
+    /// disagrees with the first batch of the stream, or a reception
+    /// bitmap whose length is not the block count is a protocol error:
+    /// silently skipping such blocks (as an earlier version did) would
+    /// let the sender believe a checkpoint block was replicated when it
+    /// never landed anywhere. The batch is rejected whole — the
+    /// cumulative state is left untouched, so a retransmission of a
+    /// well-formed batch still works.
     pub fn on_batch(
         &mut self,
         src: ActorId,
@@ -447,7 +475,7 @@ impl ReceiverState {
         total_blocks: u32,
         blocks: &[u32],
         received: &Bitmap,
-    ) -> Result<Bitmap, BroadcastError> {
+    ) -> Result<&Bitmap, BroadcastError> {
         if let Some(existing) = self.jobs.get(&(src, stream)) {
             if existing.len() != total_blocks as usize {
                 return Err(BroadcastError::TotalBlocksMismatch {
@@ -456,6 +484,13 @@ impl ReceiverState {
                     expected: existing.len() as u32,
                 });
             }
+        }
+        if received.len() != blocks.len() {
+            return Err(BroadcastError::ReceptionLengthMismatch {
+                stream,
+                blocks: blocks.len(),
+                received: received.len(),
+            });
         }
         if let Some(&bad) = blocks.iter().find(|&&b| b >= total_blocks) {
             return Err(BroadcastError::BlockOutOfRange {
@@ -468,12 +503,17 @@ impl ReceiverState {
             .jobs
             .entry((src, stream))
             .or_insert_with(|| Bitmap::zeros(total_blocks as usize));
-        for (i, &b) in blocks.iter().enumerate() {
-            if received.get(i) {
-                cum.set(b as usize, true);
+        let mut i = 0;
+        while i < blocks.len() {
+            let start = blocks[i] as usize;
+            let mut run = 1;
+            while i + run < blocks.len() && blocks[i + run] as usize == start + run {
+                run += 1;
             }
+            cum.or_run(start, received, i, run);
+            i += run;
         }
-        Ok(cum.clone())
+        Ok(cum)
     }
 
     /// Drop a finished job's state.
@@ -521,7 +561,7 @@ mod tests {
     }
 
     /// Build a bitmap of n blocks where `f(i)` says bit i is set.
-    fn bm(n: usize, f: impl Fn(usize) -> bool) -> Bitmap {
+    fn bm(n: usize, mut f: impl FnMut(usize) -> bool) -> Bitmap {
         let mut b = Bitmap::zeros(n);
         for i in 0..n {
             if f(i) {
@@ -897,7 +937,175 @@ mod tests {
         assert_eq!(rx.in_flight(), 2);
     }
 
+    /// Regression: a reception bitmap shorter than the block list used
+    /// to panic the phone in `Bitmap::get`, and a longer one had its
+    /// extra bits silently ignored (and could write out of range under
+    /// the word-wise fold). Both are rejected whole.
+    #[test]
+    fn receiver_state_rejects_reception_length_mismatch() {
+        let mut rx = ReceiverState::default();
+        let src = actor(4);
+        rx.on_batch(src, 2, 8, &[0], &bm(1, |_| true)).unwrap();
+        for len in [2, 4] {
+            let err = rx
+                .on_batch(src, 2, 8, &[1, 2, 3], &bm(len, |_| true))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                BroadcastError::ReceptionLengthMismatch {
+                    stream: 2,
+                    blocks: 3,
+                    received: len,
+                }
+            );
+            assert!(err.to_string().contains("lists 3 blocks"));
+        }
+        // Neither bad batch touched the cumulative bitmap.
+        let cum = rx.on_batch(src, 2, 8, &[], &bm(0, |_| true)).unwrap();
+        assert_eq!(cum.one_indices(), vec![0]);
+    }
+
+    /// The per-bit fold that `on_batch` used before the run-wise one,
+    /// kept only as a test oracle: `None` where the batch must be
+    /// rejected.
+    fn reference_fold(
+        cum: &Bitmap,
+        total: u32,
+        blocks: &[u32],
+        received: &Bitmap,
+    ) -> Option<Bitmap> {
+        if received.len() != blocks.len() || blocks.iter().any(|&b| b >= total) {
+            return None;
+        }
+        let mut out = cum.clone();
+        for (i, &b) in blocks.iter().enumerate() {
+            if received.get(i) {
+                out.set(b as usize, true);
+            }
+        }
+        Some(out)
+    }
+
+    /// Popcount `received_bytes` against a per-block sum, with a short
+    /// tail block held by some receivers and not others.
+    #[test]
+    fn received_bytes_matches_per_block_sum() {
+        let mut s = 0x5eedu64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        for total_bytes in [
+            1,
+            100,
+            1024,
+            1025,
+            2500,
+            64 * 1024,
+            65 * 1024 + 7,
+            129 * 1024 - 1,
+        ] {
+            let mut job = SenderJob::new(
+                1,
+                ckpt_content(),
+                TrafficClass::Checkpoint,
+                total_bytes,
+                1024,
+                (0..4).map(actor).collect(),
+            );
+            let n = job.n_blocks as usize;
+            for r in 0..4 {
+                let density = [0, 30, 90, 100][r];
+                let got = bm(n, |_| next() % 100 < density);
+                job.on_bitmap(actor(r), &got);
+            }
+            let want: u64 = job
+                .per_rx
+                .values()
+                .map(|b| {
+                    (0..job.n_blocks)
+                        .filter(|&i| b.get(i as usize))
+                        .map(|i| job.block_size(i))
+                        .sum::<u64>()
+                })
+                .sum();
+            assert_eq!(job.received_bytes(), want, "{total_bytes} bytes");
+            assert_eq!(job.bitmap_wire_bytes(), Bitmap::zeros(n).wire_bytes());
+        }
+    }
+
     proptest! {
+        /// The run-wise fold against the per-bit fold, batch after
+        /// batch on one stream: contiguous chunks, shuffled and
+        /// duplicated block lists, runs that cross word boundaries, and
+        /// out-of-range ids (including `u32::MAX` and its neighbour),
+        /// which must be rejected without touching the state.
+        #[test]
+        fn prop_run_fold_matches_per_bit_fold(
+            total in 1u32..300,
+            shapes in prop::collection::vec(0u32..5, 1..6),
+            seed in any::<u64>(),
+        ) {
+            let mut s = seed;
+            let mut next = move |m: u32| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((s >> 33) % m as u64) as u32
+            };
+            let mut rx = ReceiverState::default();
+            let mut cum = Bitmap::zeros(total as usize);
+            for shape in shapes {
+                let mut blocks: Vec<u32> = match shape {
+                    // One contiguous chunk.
+                    0 => {
+                        let start = next(total);
+                        (start..start + next(total - start) + 1).collect()
+                    }
+                    // A shuffled subset.
+                    1 => {
+                        let mut v: Vec<u32> = (0..total).filter(|_| next(2) == 0).collect();
+                        for i in (1..v.len()).rev() {
+                            v.swap(i, next(i as u32 + 1) as usize);
+                        }
+                        v
+                    }
+                    // Ids drawn with replacement: duplicates and
+                    // accidental short runs.
+                    2 => (0..next(2 * total) + 1).map(|_| next(total)).collect(),
+                    // Runs straddling word boundaries, in any order.
+                    3 => (0..next(4) + 1)
+                        .flat_map(|_| {
+                            let start = next(total);
+                            let end = (start + next(130) + 1).min(total);
+                            start..end
+                        })
+                        .collect(),
+                    // An otherwise valid chunk with one bad id.
+                    _ => {
+                        let start = next(total);
+                        let mut v: Vec<u32> = (start..total).collect();
+                        let bad = [total, total + next(64), u32::MAX - 1, u32::MAX][next(4) as usize];
+                        v.insert(next(v.len() as u32 + 1) as usize, bad);
+                        v
+                    }
+                };
+                if shape == 4 && next(2) == 0 {
+                    blocks.push(u32::MAX);
+                }
+                let received = bm(blocks.len(), |_| next(100) < 70);
+                let want = reference_fold(&cum, total, &blocks, &received);
+                let got = rx.on_batch(actor(1), 9, total, &blocks, &received);
+                match want {
+                    Some(w) => {
+                        prop_assert_eq!(got.ok(), Some(&w));
+                        cum = w;
+                    }
+                    None => prop_assert!(got.is_err()),
+                }
+            }
+        }
+
         /// Random loss patterns: the job always terminates, and after
         /// the (simulated) TCP phase every surviving receiver has every
         /// block (received ∪ residue covers the blob).

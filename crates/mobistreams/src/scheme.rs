@@ -699,7 +699,7 @@ impl FtScheme for MsScheme {
                 match self.rx.on_batch(b.src, b.stream, b.total_blocks, &b.blocks, &b.received) {
                     Ok(cum) => {
                         if b.reply_expected {
-                            let reply = BitmapReply { stream: b.stream, received: cum };
+                            let reply = BitmapReply { stream: b.stream, received: cum.clone() };
                             let bytes = reply.received.wire_bytes();
                             node.send_wifi(
                                 ctx,

@@ -145,9 +145,24 @@ impl SimRng {
         if p >= 1.0 {
             return 0;
         }
+        self.geometric_ln((1.0 - p).ln())
+    }
+
+    /// [`SimRng::geometric`] with `ln_q = (1.0 - p).ln()` computed by
+    /// the caller, so a skip loop pays one `ln` per draw instead of
+    /// two. Reads the same single uniform and returns the same value
+    /// as `geometric(p)` for every `0 < p < 1`.
+    ///
+    /// A `p` so small that `1.0 - p == 1.0` gives `ln_q == 0`: success
+    /// never happens at f64 resolution, so the draw is `u64::MAX` (the
+    /// uniform is still consumed, keeping the draw count unchanged).
+    pub fn geometric_ln(&mut self, ln_q: f64) -> u64 {
         // Guard the log: f64() may return exactly 0.
         let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        let g = (u.ln() / (1.0 - p).ln()).floor();
+        if ln_q == 0.0 {
+            return u64::MAX;
+        }
+        let g = (u.ln() / ln_q).floor();
         if g >= u64::MAX as f64 {
             u64::MAX
         } else {
@@ -174,11 +189,12 @@ impl SimRng {
         } else {
             (1.0 - p, true)
         };
+        let ln_q = (1.0 - q).ln();
         let mut rare = 0u64;
-        let mut i = self.geometric(q); // trials before the first rare outcome
+        let mut i = self.geometric_ln(ln_q); // trials before the first rare outcome
         while i < n {
             rare += 1;
-            i += 1 + self.geometric(q);
+            i = i.saturating_add(1).saturating_add(self.geometric_ln(ln_q));
         }
         if invert {
             n - rare
@@ -318,6 +334,60 @@ mod tests {
         // E[failures before first success] = (1-p)/p = 4.
         assert!((mean - 4.0).abs() < 0.1, "mean = {mean}");
         assert_eq!(r.geometric(1.0), 0);
+    }
+
+    /// The pre-`geometric_ln` inversion, kept only as a test oracle:
+    /// `floor(ln(1-U) / ln(1-p))` with both logs taken per draw.
+    fn reference_geometric(r: &mut SimRng, p: f64) -> u64 {
+        let u = (1.0 - r.f64()).max(f64::MIN_POSITIVE);
+        let g = (u.ln() / (1.0 - p).ln()).floor();
+        if g >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            g as u64
+        }
+    }
+
+    #[test]
+    fn geometric_ln_is_bit_identical_to_the_two_log_draw() {
+        let ps: [f64; 12] = [
+            1e-12, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.95, 0.999999,
+        ];
+        for seed in 0..40u64 {
+            for &p in &ps {
+                let mut fast = SimRng::new(seed);
+                let mut slow = SimRng::new(seed);
+                let mut plain = SimRng::new(seed);
+                let ln_q = (1.0 - p).ln();
+                for _ in 0..64 {
+                    let want = reference_geometric(&mut slow, p);
+                    assert_eq!(fast.geometric_ln(ln_q), want, "seed {seed} p {p}");
+                    assert_eq!(plain.geometric(p), want, "seed {seed} p {p}");
+                }
+                assert_eq!(fast.draw_count(), slow.draw_count());
+                assert_eq!(plain.draw_count(), slow.draw_count());
+                assert_eq!(fast.next_u64(), slow.next_u64(), "streams diverged");
+            }
+        }
+    }
+
+    /// Regression: below ~1.1e-16, `1.0 - p == 1.0`, so `ln(1-p) == 0`
+    /// and the old inversion returned 0 on every draw — a "success"
+    /// on every trial of a near-impossible event.
+    #[test]
+    fn tiny_probability_geometric_never_succeeds() {
+        let mut r = SimRng::new(59);
+        for &p in &[1e-17, 1e-300, f64::MIN_POSITIVE] {
+            assert_eq!(1.0 - p, 1.0);
+            let before = r.draw_count();
+            assert_eq!(r.geometric(p), u64::MAX);
+            assert_eq!(r.draw_count(), before + 1, "one uniform per draw");
+        }
+        assert_eq!(r.binomial(1000, 1e-17), 0);
+        // Skips of ~6e15 trials walk to the end of a u64::MAX-trial
+        // range; the last one must saturate rather than overflow.
+        let rare = r.binomial(u64::MAX, 1e-16);
+        assert!((1500..2200).contains(&rare), "rare = {rare}");
     }
 
     #[test]

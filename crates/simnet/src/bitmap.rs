@@ -107,14 +107,73 @@ impl Bitmap {
         }
     }
 
+    /// OR `len` bits of `src` starting at bit `from` into this bitmap
+    /// starting at bit `at`, 64 bits at a time. Both ranges must be in
+    /// bounds. A receiver folds each contiguous run of a broadcast
+    /// batch into its cumulative bitmap with one call.
+    pub fn or_run(&mut self, at: usize, src: &Bitmap, from: usize, len: usize) {
+        debug_assert!(at + len <= self.len && from + len <= src.len);
+        let mut k = 0;
+        while k < len {
+            let n = (len - k).min(64);
+            self.or_word_at(at + k, src.word_at(from + k) & (u64::MAX >> (64 - n)));
+            k += n;
+        }
+    }
+
+    /// The 64 bits starting at bit `pos` (zeros past the last word).
+    fn word_at(&self, pos: usize) -> u64 {
+        let (w, off) = (pos / 64, pos % 64);
+        let lo = self.words[w] >> off;
+        match self.words.get(w + 1) {
+            Some(&hi) if off != 0 => lo | hi << (64 - off),
+            _ => lo,
+        }
+    }
+
+    /// OR `v` into the 64 bits starting at bit `pos`; bits of `v` that
+    /// fall past the last word must be zero.
+    fn or_word_at(&mut self, pos: usize, v: u64) {
+        let (w, off) = (pos / 64, pos % 64);
+        self.words[w] |= v << off;
+        if off != 0 {
+            if let Some(hi) = self.words.get_mut(w + 1) {
+                *hi |= v >> (64 - off);
+            }
+        }
+    }
+
     /// Indices of clear bits (the blocks to rebroadcast).
     pub fn zero_indices(&self) -> Vec<usize> {
-        (0..self.len).filter(|&i| !self.get(i)).collect()
+        self.indices(false)
     }
 
     /// Indices of set bits.
     pub fn one_indices(&self) -> Vec<usize> {
-        (0..self.len).filter(|&i| self.get(i)).collect()
+        self.indices(true)
+    }
+
+    /// Indices of the bits equal to `value`, scanned a word at a time
+    /// with `trailing_zeros`.
+    fn indices(&self, value: bool) -> Vec<usize> {
+        let count = if value {
+            self.count_ones()
+        } else {
+            self.count_zeros()
+        };
+        let mut out = Vec::with_capacity(count);
+        let tail = self.len % 64;
+        for (i, &w) in self.words.iter().enumerate() {
+            let mut bits = if value { w } else { !w };
+            if i + 1 == self.words.len() && tail != 0 {
+                bits &= (1u64 << tail) - 1;
+            }
+            while bits != 0 {
+                out.push(i * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 
     /// AND of an iterator of bitmaps (all the same length).
@@ -313,6 +372,57 @@ mod tests {
         assert_eq!(and.zero_indices(), expect);
     }
 
+    #[test]
+    fn indices_ignore_the_masked_tail() {
+        for len in [0, 1, 63, 64, 65, 129, 130] {
+            assert!(Bitmap::ones(len).zero_indices().is_empty());
+            assert_eq!(
+                Bitmap::ones(len).one_indices(),
+                (0..len).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                Bitmap::zeros(len).zero_indices(),
+                (0..len).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// `or_run` against a per-bit OR at every source and destination
+    /// offset within a word, for runs shorter than, equal to and longer
+    /// than a word, including runs that end at the masked tail.
+    #[test]
+    fn or_run_matches_per_bit_or_at_every_alignment() {
+        let len = 200;
+        let mut s = 0x0123_4567_89ab_cdefu64;
+        let mut bit = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s >> 63 == 1
+        };
+        let mut src = Bitmap::zeros(len);
+        let mut base = Bitmap::zeros(len);
+        for i in 0..len {
+            src.set(i, bit());
+            base.set(i, bit());
+        }
+        for at in 0..66 {
+            for from in 0..66 {
+                for run in [0, 1, 2, 63, 64, 65, 127, 128, 129, len - at.max(from)] {
+                    let mut want = base.clone();
+                    for k in 0..run {
+                        if src.get(from + k) {
+                            want.set(at + k, true);
+                        }
+                    }
+                    let mut got = base.clone();
+                    got.or_run(at, &src, from, run);
+                    assert_eq!(got, want, "at {at} from {from} run {run}");
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_set_then_get(len in 1usize..300, bits in prop::collection::vec(any::<bool>(), 1..300)) {
@@ -351,6 +461,26 @@ mod tests {
             let one_ix = anded.one_indices();
             let zero_ix = anded.zero_indices();
             prop_assert_eq!(one_ix.len() + zero_ix.len(), len);
+        }
+
+        /// The word-at-a-time scans against a per-bit filter, over
+        /// lengths on and off word boundaries and every density.
+        #[test]
+        fn prop_indices_match_a_per_bit_filter(
+            len in 0usize..300,
+            density in 0u64..101,
+            seed in any::<u64>(),
+        ) {
+            let mut b = Bitmap::zeros(len);
+            let mut s = seed;
+            for i in 0..len {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                b.set(i, (s >> 33) % 100 < density);
+            }
+            let ones: Vec<usize> = (0..len).filter(|&i| b.get(i)).collect();
+            let zeros: Vec<usize> = (0..len).filter(|&i| !b.get(i)).collect();
+            prop_assert_eq!(b.one_indices(), ones);
+            prop_assert_eq!(b.zero_indices(), zeros);
         }
     }
 }

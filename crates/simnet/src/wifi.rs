@@ -495,48 +495,6 @@ impl WifiMedium {
         }
     }
 
-    /// Sample which of `n` broadcast blocks survive the channel for one
-    /// receiver. Loss is iid Bernoulli per block, but sampled by
-    /// geometric *skips* between the rarer outcome (one uniform per
-    /// lost block instead of one per block), so the checkpoint
-    /// broadcast's 8000-block batches cost O(n·loss) draws. `loss == 0`
-    /// and `loss >= 1` never touch the RNG. Returns the reception
-    /// bitmap and the number of lost blocks.
-    fn sample_reception(n: usize, loss: f64, rng: &mut SimRng) -> (Bitmap, u64) {
-        if loss <= 0.0 {
-            return (Bitmap::ones(n), 0);
-        }
-        if loss >= 1.0 {
-            return (Bitmap::zeros(n), n as u64);
-        }
-        if loss <= 0.5 {
-            // Drops are the rare outcome: start from all-received and
-            // clear the dropped positions.
-            let mut received = Bitmap::ones(n);
-            let mut lost = 0u64;
-            let mut i = rng.geometric(loss) as usize;
-            while i < n {
-                received.set(i, false);
-                lost += 1;
-                i += 1 + rng.geometric(loss) as usize;
-            }
-            (received, lost)
-        } else {
-            // Receptions are the rare outcome: start from all-lost and
-            // set the kept positions.
-            let keep = 1.0 - loss;
-            let mut received = Bitmap::zeros(n);
-            let mut kept = 0u64;
-            let mut i = rng.geometric(keep) as usize;
-            while i < n {
-                received.set(i, true);
-                kept += 1;
-                i += 1 + rng.geometric(keep) as usize;
-            }
-            (received, n as u64 - kept)
-        }
-    }
-
     fn handle_batch(&mut self, b: WifiBatchSend, ctx: &mut Ctx) {
         if !self.link_state(b.src).reachable() {
             // Never reached the channel: a reject, not a channel drop
@@ -573,9 +531,9 @@ impl WifiMedium {
             .filter(|(id, st)| **id != b.src && st.reachable())
             .map(|(id, _)| *id)
             .collect();
-        let loss = self.cfg.loss;
+        let sampler = ReceptionSampler::new(self.cfg.loss);
         for dst in receivers {
-            let (received, lost) = Self::sample_reception(b.blocks.len(), loss, ctx.rng());
+            let (received, lost) = sampler.sample(b.blocks.len(), ctx.rng());
             self.stats.drops += lost;
             ctx.send_in(
                 delay,
@@ -594,6 +552,61 @@ impl WifiMedium {
         if b.tag != 0 {
             ctx.send_in(delay, b.src, TxDone { tag: b.tag });
         }
+    }
+}
+
+/// Samples which blocks of one broadcast batch survive the channel for
+/// each receiver. Loss is iid Bernoulli per block, but sampled by
+/// geometric *skips* between the rarer outcome (one uniform per lost
+/// block instead of one per block), so the checkpoint broadcast's
+/// 8000-block batches cost O(n·loss) draws. The skip distribution's
+/// `ln(1 - q)` is computed once per batch rather than once per draw.
+/// `loss == 0` and `loss >= 1` never touch the RNG.
+#[derive(Debug, Clone, Copy)]
+struct ReceptionSampler {
+    loss: f64,
+    /// `ln(1 - q)`, where `q` is the rarer outcome's probability.
+    ln_q: f64,
+}
+
+impl ReceptionSampler {
+    fn new(loss: f64) -> Self {
+        let q = if loss <= 0.5 { loss } else { 1.0 - loss };
+        ReceptionSampler {
+            loss,
+            ln_q: (1.0 - q).ln(),
+        }
+    }
+
+    /// One receiver's reception bitmap over `n` blocks, and the number
+    /// of lost blocks.
+    fn sample(&self, n: usize, rng: &mut SimRng) -> (Bitmap, u64) {
+        if self.loss <= 0.0 {
+            return (Bitmap::ones(n), 0);
+        }
+        if self.loss >= 1.0 {
+            return (Bitmap::zeros(n), n as u64);
+        }
+        // Drops are the rare outcome at loss <= 1/2: start from
+        // all-received and clear the dropped positions. Otherwise start
+        // from all-lost and set the kept ones.
+        let rare_is_loss = self.loss <= 0.5;
+        let mut received = if rare_is_loss {
+            Bitmap::ones(n)
+        } else {
+            Bitmap::zeros(n)
+        };
+        let mut rare = 0u64;
+        let mut i = rng.geometric_ln(self.ln_q) as usize;
+        while i < n {
+            received.set(i, !rare_is_loss);
+            rare += 1;
+            i = i
+                .saturating_add(1)
+                .saturating_add(rng.geometric_ln(self.ln_q) as usize);
+        }
+        let lost = if rare_is_loss { rare } else { n as u64 - rare };
+        (received, lost)
     }
 }
 
@@ -966,7 +979,7 @@ mod tests {
         for loss in [0.0, 1.0] {
             let mut rng = SimRng::new(7);
             let mut untouched = SimRng::new(7);
-            let (bm, lost) = WifiMedium::sample_reception(1000, loss, &mut rng);
+            let (bm, lost) = ReceptionSampler::new(loss).sample(1000, &mut rng);
             assert_eq!(bm.count_ones(), if loss == 0.0 { 1000 } else { 0 });
             assert_eq!(lost, if loss == 0.0 { 0 } else { 1000 });
             assert_eq!(
@@ -975,6 +988,19 @@ mod tests {
                 "loss={loss} must be RNG-free so toggling lossless links \
                  cannot perturb unrelated random streams"
             );
+        }
+    }
+
+    /// Regression: below ~1.1e-16, `1.0 - loss == 1.0`, and every
+    /// skip used to come out 0 — so the near-lossless channel dropped
+    /// every block. It now drops nothing, still spending one uniform.
+    #[test]
+    fn tiny_loss_drops_nothing() {
+        for loss in [1e-17, 1e-300] {
+            let mut rng = SimRng::new(7);
+            let (bm, lost) = ReceptionSampler::new(loss).sample(1000, &mut rng);
+            assert_eq!((bm.count_ones(), lost), (1000, 0), "loss={loss}");
+            assert_eq!(rng.draw_count(), 1);
         }
     }
 
@@ -1209,7 +1235,7 @@ mod tests {
             ) {
                 let n = 4000usize;
                 let mut rng = SimRng::new(seed);
-                let (bm, lost) = WifiMedium::sample_reception(n, loss, &mut rng);
+                let (bm, lost) = ReceptionSampler::new(loss).sample(n, &mut rng);
                 prop_assert_eq!(bm.len(), n);
                 prop_assert_eq!(bm.count_ones() as u64 + lost, n as u64);
 
@@ -1244,7 +1270,7 @@ mod tests {
                 seed in 0u64..1u64 << 32,
             ) {
                 let mut rng = SimRng::new(seed);
-                let (bm, lost) = WifiMedium::sample_reception(n, loss, &mut rng);
+                let (bm, lost) = ReceptionSampler::new(loss).sample(n, &mut rng);
                 prop_assert_eq!(bm.count_zeros() as u64, lost);
             }
         }
