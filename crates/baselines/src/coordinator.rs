@@ -366,14 +366,12 @@ impl BaselineCoordinator {
         if rt.stopped || !rt.alive[slot as usize] {
             return;
         }
-        ctx.count("bl.failures_noted", 1);
         rt.alive[slot as usize] = false;
         match kind {
             BaselineKind::Base | BaselineKind::Local => {
                 // No recovery path: the region is lost.
                 rt.stopped = true;
                 self.stops += 1;
-                ctx.count("bl.region_stops", 1);
             }
             BaselineKind::Rep2 { flow_of } => {
                 let ops = rt.ops_on(slot);
@@ -385,7 +383,6 @@ impl BaselineCoordinator {
                     // The other flow is already broken: game over.
                     rt.stopped = true;
                     self.stops += 1;
-                    ctx.count("bl.region_stops", 1);
                     return;
                 }
                 if rt.flow_broken[flow as usize] {
@@ -501,11 +498,9 @@ impl BaselineCoordinator {
             self.send_ctl(ctx, t, wire::CONTROL, routing.clone());
         }
         self.send_ctl(ctx, dst, wire::CONTROL, install);
-        ctx.count("bl.upstream_takeovers", 1);
     }
 
     fn on_recover(&mut self, region: usize, ctx: &mut Ctx) {
-        ctx.count("bl.recover_runs", 1);
         let BaselineKind::Dist { n } = self.kind else {
             return;
         };
@@ -542,7 +537,6 @@ impl BaselineCoordinator {
             rt.stopped = true;
             rt.recovering = false;
             self.stops += 1;
-            ctx.count("bl.region_stops", 1);
             return;
         }
         // Pick replacements (idle preferred, then spread over healthy
@@ -584,7 +578,6 @@ impl BaselineCoordinator {
             rt.stopped = true;
             rt.recovering = false;
             self.stops += 1;
-            ctx.count("bl.region_stops", 1);
             return;
         }
         // Apply the new assignment and publish routing.
@@ -632,7 +625,6 @@ impl BaselineCoordinator {
                 })
                 .collect()
         };
-        ctx.count("bl.ships", ships.len() as u64);
         for (dst, ship) in ships {
             let holder = holder_of(&plan, ship.failed_slot);
             self.send_ship(region, dst, ship, holder, ctx);
@@ -792,7 +784,6 @@ impl BaselineCoordinator {
             finished: ctx.now(),
         });
         rt.recovery_started = SimTime::ZERO;
-        ctx.count("bl.recoveries", 1);
     }
 }
 
@@ -806,10 +797,8 @@ impl Actor for BaselineCoordinator {
                         out.remove(&(m.region, m.slot));
                     }
                 } else if let Some(m) = payload_as::<ReportDead>(&p) {
-                    ctx.count("bl.reports", 1);
                     self.note_failure(m.region, m.slot, ctx);
                 } else if let Some(m) = payload_as::<BaselineAck>(&p) {
-                    ctx.count("bl.acks", 1);
                     self.on_ack(*m, ctx);
                 } else if let Some(m) = payload_as::<dsps::node::RegisterNode>(&p) {
                     self.on_register(*m, ctx);

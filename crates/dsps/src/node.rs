@@ -605,7 +605,6 @@ impl NodeInner {
             return;
         };
         let dst = self.controller;
-        ctx.count("node.ctl_retries", 1);
         self.send_cell(ctx, dst, TrafficClass::Control, bytes, tag, Some(pl));
     }
 
@@ -620,7 +619,6 @@ impl NodeInner {
             // a recovery/stop. Drop the item (replay covers it) rather
             // than kill the phone.
             self.metrics.routing_drops += 1;
-            ctx.count("node.routing_drops", 1);
             return;
         }
         if dst_slot == self.cfg.slot {
@@ -630,7 +628,6 @@ impl NodeInner {
         let Some(&dst_actor) = self.slot_actors.get(dst_slot as usize) else {
             // Stale slot table (a malformed/old routing update): drop.
             self.metrics.routing_drops += 1;
-            ctx.count("node.routing_drops", 1);
             return;
         };
         let bytes = item.bytes();
@@ -663,7 +660,6 @@ impl NodeInner {
                     // Misconfigured node (Ethernet primary, no link):
                     // drop rather than panic the deployment.
                     self.metrics.routing_drops += 1;
-                    ctx.count("node.routing_drops", 1);
                     return;
                 };
                 let src = ctx.self_id();
@@ -882,7 +878,6 @@ impl NodeActor {
                     // an operator bug, but one bad tuple must not kill
                     // the phone — drop the output and count it.
                     inner.metrics.routing_drops += 1;
-                    ctx.count("node.bad_port_emits", 1);
                     continue;
                 };
                 let out_tuple = Tuple {
@@ -1162,7 +1157,6 @@ impl Actor for NodeActor {
                 // covers it) but the peer is alive — no dead report.
                 if self.inner.take_pending(d.tag).is_some() {
                     self.inner.metrics.tx_queue_drops += 1;
-                    ctx.count("node.tx_queue_drops", 1);
                 } else {
                     self.scheme.on_custom(EventBox::new(d), &mut self.inner, ctx);
                 }
@@ -1175,7 +1169,6 @@ impl Actor for NodeActor {
                 // with backoff.
                 if self.inner.take_pending(s.tag).is_some() {
                     self.inner.metrics.tx_severed += 1;
-                    ctx.count("node.tx_severed", 1);
                 } else if !self.inner.ctl_retry_severed(s.tag, ctx) {
                     self.scheme.on_custom(EventBox::new(s), &mut self.inner, ctx);
                 }

@@ -8,7 +8,7 @@
 //! msx fig10  [--quick] [--seeds N]
 //! msx all    [--quick] [--seeds N]
 //! msx scenarios list
-//! msx scenarios run --profile <stadium|commute|flash-crowd|lossy-wifi|metro> [--seed N] [--threads N] [--sanitize] [--weather NAME] [--uniform-lookahead]
+//! msx scenarios run --profile <stadium|commute|flash-crowd|lossy-wifi|metro> [--seed N] [--threads N] [--sanitize] [--weather NAME]
 //! msx scenarios matrix [--smoke] [--seed N] [--threads N]
 //! msx bench fleet [--smoke] [--threads N] [--out FILE]
 //! msx lint [--rules] [--root DIR]
@@ -168,7 +168,6 @@ fn scenarios_cmd(args: &[String], out: &Path) {
             };
             cfg.threads = threads.max(1);
             cfg.sanitize = args.iter().any(|a| a == "--sanitize");
-            cfg.uniform_lookahead = args.iter().any(|a| a == "--uniform-lookahead");
             if let Some(wname) = args
                 .iter()
                 .position(|a| a == "--weather")

@@ -832,7 +832,7 @@ impl Deployment {
     }
 
     /// As [`Deployment::enable_sharding`], with per-destination
-    /// cross-shard bounds optionally disabled (`--uniform-lookahead`):
+    /// cross-shard bounds optionally disabled (`FleetConfig::uniform_lookahead`):
     /// the kernel then barriers on the uniform cellular lookahead for
     /// every destination. Digests are identical either way — the bound
     /// only changes how far region windows may run between barriers.

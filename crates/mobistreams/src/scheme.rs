@@ -426,7 +426,6 @@ impl MsScheme {
                 }
             }
         }
-        ctx.count("ms.checkpoints", 1);
         if total == 0 {
             // Stateless node: report done immediately (a tiny control
             // message — works over cellular for degraded nodes too).
@@ -444,7 +443,6 @@ impl MsScheme {
             // over cellular at its full byte size. The proxy relays it
             // onto WiFi and reports to the controller on our behalf.
             self.stats.cell_snapshots += 1;
-            ctx.count("ms.cell_snapshots", 1);
             let snap = DegradedSnapshot {
                 region: node.cfg.region,
                 origin_slot: node.cfg.slot,
@@ -564,7 +562,6 @@ impl MsScheme {
             .collect();
         node.restore_ops(&states);
         self.stats.rollbacks += 1;
-        ctx.count("ms.rollbacks", 1);
         let ack = RecoveredAck {
             region: node.cfg.region,
             slot: node.cfg.slot,
@@ -719,7 +716,6 @@ impl FtScheme for MsScheme {
                         // us over the reliable pass. Never panic a
                         // phone over one bad message.
                         self.stats.protocol_errors += 1;
-                        ctx.count("ms.batch_protocol_errors", 1);
                         ctx.trace(format!("rejected batch: {err}"));
                     }
                 }
@@ -860,11 +856,9 @@ impl FtScheme for MsScheme {
                         // A stale/misrouted snapshot from another region
                         // must not be relayed into this region's round.
                         self.stats.protocol_errors += 1;
-                        ctx.count("ms.cross_region_snapshots_rejected", 1);
                         return true;
                     }
                     self.stats.proxied_snapshots += 1;
-                    ctx.count("ms.proxied_snapshots", 1);
                     let mut total = 0u64;
                     for (op, st, bytes) in &s.states {
                         node.store.put_state(s.version, *op, st.clone(), *bytes);

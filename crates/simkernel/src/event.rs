@@ -68,29 +68,6 @@ impl dyn Event {
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.as_any().downcast_ref::<T>()
     }
-
-    /// Consuming downcast; returns the original box on mismatch so the
-    /// caller can try the next candidate type.
-    pub fn downcast<T: Any>(self: Box<dyn Event>) -> Result<Box<T>, Box<dyn Event>> {
-        if self.is::<T>() {
-            // simlint::allow(P001): guarded by the is::<T> check one line up — this downcast cannot fail
-            Ok(self.into_any().downcast::<T>().expect("checked by is::<T>"))
-        } else {
-            Err(self)
-        }
-    }
-
-    /// Consuming downcast for handlers that accept exactly one type:
-    /// on mismatch, returns a [`MisroutedEvent`] naming both the
-    /// expected and the actual type, so dispatch errors carry enough
-    /// context to find the bad sender.
-    pub fn downcast_expected<T: Any>(self: Box<dyn Event>) -> Result<Box<T>, MisroutedEvent> {
-        let actual = (*self).type_name();
-        self.downcast::<T>().map_err(|_| MisroutedEvent {
-            expected: std::any::type_name::<T>(),
-            actual,
-        })
-    }
 }
 
 /// Dispatch an event to per-type handlers. Expands to an
@@ -136,7 +113,7 @@ macro_rules! match_event {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::EventBox;
 
     #[derive(Debug, PartialEq)]
     struct Ping(u64);
@@ -145,7 +122,7 @@ mod tests {
 
     #[test]
     fn downcast_ref_and_is() {
-        let ev: Box<dyn Event> = Box::new(Ping(9));
+        let ev = EventBox::new(Ping(9));
         assert!(ev.is::<Ping>());
         assert!(!ev.is::<Pong>());
         assert_eq!(ev.downcast_ref::<Ping>(), Some(&Ping(9)));
@@ -154,26 +131,26 @@ mod tests {
 
     #[test]
     fn consuming_downcast_success_and_recovery() {
-        let ev: Box<dyn Event> = Box::new(Ping(3));
+        let ev = EventBox::new(Ping(3));
         let ev = match ev.downcast::<Pong>() {
             Ok(_) => panic!("wrong type matched"),
             Err(original) => original,
         };
         let ping = ev.downcast::<Ping>().expect("should match Ping");
-        assert_eq!(*ping, Ping(3));
+        assert_eq!(ping, Ping(3));
     }
 
     #[test]
     fn type_name_reports_concrete_type() {
-        let ev: Box<dyn Event> = Box::new(Pong);
-        // Note: call through the deref — `Box<dyn Event>` itself satisfies
-        // the blanket impl, so `ev.type_name()` would name the Box.
+        let ev = EventBox::new(Pong);
+        // Note: call through the deref — `EventBox` itself satisfies the
+        // blanket impl, so `ev.type_name()` would name the EventBox.
         assert!((*ev).type_name().ends_with("Pong"));
     }
 
     #[test]
     fn downcast_expected_names_both_types() {
-        let ev: Box<dyn Event> = Box::new(Ping(4));
+        let ev = EventBox::new(Ping(4));
         let err = ev.downcast_expected::<Pong>().unwrap_err();
         assert!(
             err.expected.ends_with("Pong"),
@@ -184,13 +161,13 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("mis-routed"), "message = {msg}");
 
-        let ev: Box<dyn Event> = Box::new(Ping(4));
-        assert_eq!(*ev.downcast_expected::<Ping>().unwrap(), Ping(4));
+        let ev = EventBox::new(Ping(4));
+        assert_eq!(ev.downcast_expected::<Ping>().unwrap(), Ping(4));
     }
 
     #[test]
     fn match_event_dispatch() {
-        let ev: Box<dyn Event> = Box::new(Pong);
+        let ev = EventBox::new(Pong);
         #[allow(unused_assignments)]
         let mut hit = "";
         match_event!(ev,
@@ -205,7 +182,7 @@ mod tests {
     fn match_event_fallback() {
         #[derive(Debug)]
         struct Mystery;
-        let ev: Box<dyn Event> = Box::new(Mystery);
+        let ev = EventBox::new(Mystery);
         #[allow(unused_assignments)]
         let mut hit = "";
         match_event!(ev,

@@ -135,23 +135,9 @@ impl SimRng {
 
     /// Geometric deviate: the number of independent Bernoulli(`p`)
     /// failures before the first success, sampled by inversion from a
-    /// single uniform (`floor(ln(1-U) / ln(1-p))`). Equivalent to
-    /// counting `chance(p)` calls until one returns true, but O(1).
-    ///
-    /// Requires `0 < p <= 1`; `p >= 1` returns 0 without touching the
-    /// stream.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0, "geometric requires p > 0");
-        if p >= 1.0 {
-            return 0;
-        }
-        self.geometric_ln((1.0 - p).ln())
-    }
-
-    /// [`SimRng::geometric`] with `ln_q = (1.0 - p).ln()` computed by
-    /// the caller, so a skip loop pays one `ln` per draw instead of
-    /// two. Reads the same single uniform and returns the same value
-    /// as `geometric(p)` for every `0 < p < 1`.
+    /// single uniform (`floor(ln(1-U) / ln_q)`), with
+    /// `ln_q = (1.0 - p).ln()` computed by the caller so a skip loop
+    /// pays one `ln` per draw. Requires `0 < p < 1`.
     ///
     /// A `p` so small that `1.0 - p == 1.0` gives `ln_q == 0`: success
     /// never happens at f64 resolution, so the draw is `u64::MAX` (the
@@ -167,39 +153,6 @@ impl SimRng {
             u64::MAX
         } else {
             g as u64
-        }
-    }
-
-    /// Binomial deviate: successes in `n` Bernoulli(`p`) trials,
-    /// sampled by geometric skips between successes (or between
-    /// failures when `p > 1/2`), so the expected number of uniforms is
-    /// `n·min(p, 1-p) + 1` rather than `n`. `p <= 0` and `p >= 1`
-    /// never touch the stream.
-    pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
-        if p <= 0.0 {
-            return 0;
-        }
-        if p >= 1.0 {
-            return n;
-        }
-        // Count the rarer outcome by skipping over runs of the common
-        // one; each skip consumes exactly one uniform.
-        let (q, invert) = if p <= 0.5 {
-            (p, false)
-        } else {
-            (1.0 - p, true)
-        };
-        let ln_q = (1.0 - q).ln();
-        let mut rare = 0u64;
-        let mut i = self.geometric_ln(ln_q); // trials before the first rare outcome
-        while i < n {
-            rare += 1;
-            i = i.saturating_add(1).saturating_add(self.geometric_ln(ln_q));
-        }
-        if invert {
-            n - rare
-        } else {
-            rare
         }
     }
 
@@ -324,18 +277,6 @@ mod tests {
         assert!((mean - 100.0).abs() < 2.0, "mean = {mean}");
     }
 
-    #[test]
-    fn geometric_matches_bernoulli_mean() {
-        let mut r = SimRng::new(41);
-        let p = 0.2;
-        let n = 50_000;
-        let sum: u64 = (0..n).map(|_| r.geometric(p)).sum();
-        let mean = sum as f64 / n as f64;
-        // E[failures before first success] = (1-p)/p = 4.
-        assert!((mean - 4.0).abs() < 0.1, "mean = {mean}");
-        assert_eq!(r.geometric(1.0), 0);
-    }
-
     /// The pre-`geometric_ln` inversion, kept only as a test oracle:
     /// `floor(ln(1-U) / ln(1-p))` with both logs taken per draw.
     fn reference_geometric(r: &mut SimRng, p: f64) -> u64 {
@@ -357,15 +298,12 @@ mod tests {
             for &p in &ps {
                 let mut fast = SimRng::new(seed);
                 let mut slow = SimRng::new(seed);
-                let mut plain = SimRng::new(seed);
                 let ln_q = (1.0 - p).ln();
                 for _ in 0..64 {
                     let want = reference_geometric(&mut slow, p);
                     assert_eq!(fast.geometric_ln(ln_q), want, "seed {seed} p {p}");
-                    assert_eq!(plain.geometric(p), want, "seed {seed} p {p}");
                 }
                 assert_eq!(fast.draw_count(), slow.draw_count());
-                assert_eq!(plain.draw_count(), slow.draw_count());
                 assert_eq!(fast.next_u64(), slow.next_u64(), "streams diverged");
             }
         }
@@ -380,53 +318,9 @@ mod tests {
         for &p in &[1e-17, 1e-300, f64::MIN_POSITIVE] {
             assert_eq!(1.0 - p, 1.0);
             let before = r.draw_count();
-            assert_eq!(r.geometric(p), u64::MAX);
+            assert_eq!(r.geometric_ln((1.0 - p).ln()), u64::MAX);
             assert_eq!(r.draw_count(), before + 1, "one uniform per draw");
         }
-        assert_eq!(r.binomial(1000, 1e-17), 0);
-        // Skips of ~6e15 trials walk to the end of a u64::MAX-trial
-        // range; the last one must saturate rather than overflow.
-        let rare = r.binomial(u64::MAX, 1e-16);
-        assert!((1500..2200).contains(&rare), "rare = {rare}");
-    }
-
-    #[test]
-    fn binomial_moments() {
-        let mut r = SimRng::new(43);
-        let n_trials = 200u64;
-        let p = 0.3;
-        let reps = 20_000;
-        let draws: Vec<u64> = (0..reps).map(|_| r.binomial(n_trials, p)).collect();
-        let mean = draws.iter().sum::<u64>() as f64 / reps as f64;
-        let var = draws
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / reps as f64;
-        assert!((mean - 60.0).abs() < 0.5, "mean = {mean}"); // n·p
-        assert!((var - 42.0).abs() < 2.0, "var = {var}"); // n·p·(1-p)
-        assert!(draws.iter().all(|&x| x <= n_trials));
-    }
-
-    #[test]
-    fn binomial_high_p_uses_inverted_skips() {
-        let mut r = SimRng::new(47);
-        let reps = 20_000;
-        let sum: u64 = (0..reps).map(|_| r.binomial(100, 0.9)).sum();
-        let mean = sum as f64 / reps as f64;
-        assert!((mean - 90.0).abs() < 0.2, "mean = {mean}");
-    }
-
-    #[test]
-    fn binomial_extremes_never_touch_the_stream() {
-        let mut r = SimRng::new(53);
-        let before = r.clone();
-        assert_eq!(r.binomial(1000, 0.0), 0);
-        assert_eq!(r.binomial(1000, -1.0), 0);
-        assert_eq!(r.binomial(1000, 1.0), 1000);
-        assert_eq!(r.binomial(1000, 2.0), 1000);
-        let mut untouched = before;
-        assert_eq!(r.next_u64(), untouched.next_u64(), "stream was consumed");
     }
 
     #[test]
@@ -450,7 +344,6 @@ mod tests {
         // Shortcut paths never touch the stream, so they never count.
         a.chance(0.0);
         a.chance(1.0);
-        assert_eq!(a.binomial(100, 0.0), 0);
         assert_eq!(a.draw_count(), 3);
         // Identical call sequences consume identically.
         let mut b = SimRng::new(99);

@@ -1,11 +1,8 @@
-//! Lightweight structured tracing and counters.
+//! Lightweight structured tracing.
 //!
 //! Tracing is off by default (experiments run millions of events); tests
-//! and the examples enable it to show protocol walk-throughs. Counters
-//! are always on — they are how experiments account for bytes saved,
-//! bytes broadcast, recoveries performed, etc.
+//! and the examples enable it to show protocol walk-throughs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::actor::ActorId;
@@ -28,27 +25,23 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// Trace sink plus named counters.
-///
-/// Counters use a `BTreeMap` so dumps are deterministically ordered.
+/// Trace sink.
 #[derive(Debug, Default)]
 pub struct Trace {
     enabled: bool,
     records: Vec<TraceRecord>,
     max_records: usize,
     dropped: u64,
-    counters: BTreeMap<&'static str, u64>,
 }
 
 impl Trace {
-    /// A disabled trace with counters active.
+    /// A disabled trace.
     pub fn new() -> Self {
         Trace {
             enabled: false,
             records: Vec::new(),
             max_records: 100_000,
             dropped: 0,
-            counters: BTreeMap::new(),
         }
     }
 
@@ -87,21 +80,6 @@ impl Trace {
     /// Number of records dropped due to the cap.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Add `delta` to a named counter.
-    pub fn count(&mut self, key: &'static str, delta: u64) {
-        *self.counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// Read a counter (0 if never touched).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Snapshot of all counters, deterministically ordered.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Records whose message contains `needle` (test helper).
@@ -153,17 +131,5 @@ mod tests {
         }
         assert_eq!(t.records().len(), 3);
         assert_eq!(t.dropped(), 2);
-    }
-
-    #[test]
-    fn counters_accumulate_deterministically() {
-        let mut t = Trace::new();
-        t.count("bytes.sent", 10);
-        t.count("bytes.sent", 5);
-        t.count("a.first", 1);
-        assert_eq!(t.counter("bytes.sent"), 15);
-        assert_eq!(t.counter("missing"), 0);
-        let keys: Vec<_> = t.counters().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a.first", "bytes.sent"]);
     }
 }

@@ -364,7 +364,6 @@ impl CellularNet {
             src_ep.queue_drop_bytes += s.bytes;
             self.stats.queue_drops += 1;
             self.stats.queue_drop_bytes += s.bytes;
-            ctx.count("cell.queue_drops", 1);
             if s.tag != 0 {
                 ctx.send_in(
                     self.cfg.drop_notify,
@@ -400,7 +399,6 @@ impl CellularNet {
             dst_ep.queue_drop_bytes += s.bytes;
             self.stats.queue_drops += 1;
             self.stats.queue_drop_bytes += s.bytes;
-            ctx.count("cell.queue_drops", 1);
             self.stats.record_send(s.class, s.bytes, wire, up_air);
             if s.tag != 0 {
                 ctx.send_in(
@@ -431,7 +429,6 @@ impl CellularNet {
             wire * 2,
             up_air + (down_end - core_arrive),
         );
-        ctx.count("cell.sends", 1);
 
         if let Some(p) = s.payload {
             ctx.send_in(

@@ -411,7 +411,6 @@ impl WifiMedium {
         let (_, end) = self.channel.reserve_span(ctx.now(), air, wire);
         self.stats.record_send(s.class, s.bytes, wire, air);
         self.after_reserve(ctx);
-        ctx.count("wifi.sends", 1);
 
         let delay = end - ctx.now();
         let deliver = |ctx: &mut Ctx, to: ActorId, payload: &Payload| {
@@ -522,7 +521,6 @@ impl WifiMedium {
         let (_, end) = self.channel.reserve_span(ctx.now(), air, wire);
         self.stats.record_send(b.class, payload, wire, air);
         self.after_reserve(ctx);
-        ctx.count("wifi.batch_blocks", n);
         let delay = end - ctx.now();
 
         let receivers: Vec<ActorId> = self
